@@ -51,12 +51,11 @@ TRAIN_PARAMS = {"num_iterations": 8, "num_leaves": 16, "num_workers": 1}
 #: the served model
 SERVE_PARAMS = {"num_iterations": 16, "num_leaves": 4, "num_workers": 1}
 HOT_KEYS = 8
+#: numbers the sqlite files of one process (the warm-up's too)
+SQLITE_FILES = itertools.count()
 #: every run makes at least this many rounds, so it has at least
 #: MIN_ROUNDS * key_pairs lookups of each kind (the tail is fixed by it)
 MIN_ROUNDS = 2
-#: repeated set-up steps; ``setup_s`` counts each once, at its median
-SETUP_LOADS = 3
-SETUP_TRAININGS = 2
 #: tolerances of the training oracle (the paper's equivalence holds to
 #: float summation order, about 1e-12 on these targets)
 PREDICTION_TOLERANCE = 1e-9
@@ -142,20 +141,18 @@ class Bench:
         self.gateway = None
         self.hot: List[Dict[str, int]] = []
         self.cold = iter(())
-        self._files = itertools.count()
 
     # -- connectors -----------------------------------------------------
-    def load(self) -> float:
+    def load(self) -> None:
         """Replace the connector with a fresh one holding the seeded
-        Favorita schema; returns the seconds it took."""
+        Favorita schema."""
         import repro
         import repro.datasets
 
         self.finish()
-        start = time.perf_counter()
         if self.workload.backend == "sqlite":
             os.makedirs(SCRATCH, exist_ok=True)
-            name = f"sqlite-{os.getpid()}-{next(self._files)}.db"
+            name = f"sqlite-{os.getpid()}-{next(SQLITE_FILES)}.db"
             conn = repro.SQLiteConnector(path=os.path.join(SCRATCH, name))
         else:
             conn = repro.connect()
@@ -163,7 +160,6 @@ class Bench:
             db=conn, num_fact_rows=self.rows, seed=self.seed
         )
         self.conn = conn
-        return time.perf_counter() - start
 
     def finish(self) -> None:
         """Drop the connector (and a sqlite store's files)."""
@@ -292,16 +288,15 @@ class Bench:
 
     def set_up(self) -> float:
         """Everything before the first timed operation; returns
-        ``setup_s``, counting each repeated step once, at its median."""
-        repeated = [[self.load() for _ in range(SETUP_LOADS)]]
+        ``setup_s``."""
+        self.load()
         self.choose_keys()
         if self.workload.trains_per_round:
             self.warm_up()
         else:
-            repeated.append([self.train(SERVE_PARAMS) for _ in range(SETUP_TRAININGS)])
+            self.train(SERVE_PARAMS)
             self.deploy()
-        elapsed = time.perf_counter() - T_START
-        return elapsed - sum(sum(r) - statistics.median(r) for r in repeated)
+        return time.perf_counter() - T_START
 
     def run(self, seconds: float) -> Dict[str, object]:
         setup_s = self.set_up()

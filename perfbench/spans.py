@@ -106,12 +106,6 @@ class Tracer:
         ``repro`` module that imported the same object by name is
         repointed too, so ``from x import f`` call sites are traced."""
         original = inspect.getattr_static(owner, attr)
-        if isinstance(original, (staticmethod, classmethod)):
-            wrapped = type(original)(
-                self.wrap(original.__func__, name, attrs, result_attrs)
-            )
-            setattr(owner, attr, wrapped)
-            return
         if getattr(original, "__wrapped_by_tracer__", False):
             raise ValueError(f"{owner!r}.{attr} is already traced")
         wrapped = self.wrap(original, name, attrs, result_attrs)

@@ -1,25 +1,23 @@
 #!/usr/bin/env python3
 """Steadiness check: two sets of runs of the same code must agree.
 
-    python3 perfbench/steady.py --runs 5
-    python3 perfbench/steady.py --runs 5 --workloads serve-favorita-keys
+    python3 perfbench/steady.py
 
-Runs ``run.py`` in a fresh process per run, ``--runs`` times per set and
-workload, set A on seeds ``first..first+runs-1`` and set B on the next
-``runs`` seeds, alternating A and B so that a drift of the host falls on
-both.  For every workload and end-to-end metric it prints both medians,
-their difference as a share of set A's, the inter-quartile spread of all
+Runs ``run.py`` in a fresh process per run on every workload in
+``BENCHMARK.json``: set A on seeds 1-5 and set B on seeds 6-10,
+alternating A and B so that a drift of the host falls on both.  For
+every workload and end-to-end metric it prints both medians, their
+difference as a share of set A's, the inter-quartile spread of all ten
 runs as a share of their median, and whether the metric stays within
 its ``bound`` in ``BENCHMARK.json``: the medians differ by no more than
-the bound, and (except for ``setup_s``) the spread is within it.  The
-share of failed operations must be the same in both sets.  Raw results
-go to ``.bench_build/perfbench/steady-<workload>.json``.  Exits 1 when
-any check fails.
+the bound, and so does the spread.  The share of failed operations must
+be the same in both sets.  Raw results go to
+``.bench_build/perfbench/steady-<workload>.json``.  Exits 1 when any
+check fails.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import statistics
@@ -32,6 +30,10 @@ ROOT = os.path.dirname(HERE)
 sys.path.insert(0, HERE)
 
 import metrics  # noqa: E402
+
+#: seeds of set A; set B takes the next RUNS seeds
+SEEDS_A = range(1, 6)
+RUNS = len(SEEDS_A)
 
 
 def run_once(workload: str, seed: int, seconds: int) -> Dict:
@@ -63,9 +65,7 @@ def verdicts(spec: Dict, runs_a: List[Dict], runs_b: List[Dict]) -> bool:
         if metric["better"] == "higher":
             worse = -worse
         spread = metrics.spread(a + b)
-        agree = abs(med_b - med_a) / med_a <= bound
-        if name != "setup_s":
-            agree = agree and spread <= bound
+        agree = abs(med_b - med_a) / med_a <= bound and spread <= bound
         ok = ok and agree
         print(f"  {name:18s} {med_a:12.5g} {med_b:12.5g} {worse:+7.1%} "
               f"{spread:7.1%} {bound:6.2f}  {'agree' if agree else 'DIFFER'}")
@@ -73,27 +73,19 @@ def verdicts(spec: Dict, runs_a: List[Dict], runs_b: List[Dict]) -> bool:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=5, help="runs per set")
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--workloads", default="", help="comma-separated; default all")
-    args = parser.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         spec = json.load(handle)
-    names = [w["name"] for w in spec["workloads"]]
-    chosen = [w for w in args.workloads.split(",") if w] or names
     out_dir = os.path.join(ROOT, ".bench_build", "perfbench")
     os.makedirs(out_dir, exist_ok=True)
     ok = True
-    for workload in chosen:
+    for workload in (w["name"] for w in spec["workloads"]):
         runs_a, runs_b = [], []
-        for i in range(args.runs):
-            for runs, seed in ((runs_a, args.first_seed + i),
-                               (runs_b, args.first_seed + args.runs + i)):
-                runs.append(run_once(workload, seed, spec["run_seconds"]))
+        for seed in SEEDS_A:
+            for runs, run_seed in ((runs_a, seed), (runs_b, seed + RUNS)):
+                runs.append(run_once(workload, run_seed, spec["run_seconds"]))
         with open(os.path.join(out_dir, f"steady-{workload}.json"), "w") as handle:
             json.dump({"a": runs_a, "b": runs_b}, handle)
-        print(f"{workload}: {args.runs} + {args.runs} runs")
+        print(f"{workload}: {RUNS} + {RUNS} runs")
         ok = verdicts(spec, runs_a, runs_b) and ok
     return 0 if ok else 1
 

@@ -221,6 +221,20 @@ def test_traced_training_layers_account_for_the_wall():
     assert values["backends.serve_sql_statements"] == 1
 
 
+def test_sqlite_benches_in_one_process_get_their_own_files():
+    """The warm-up's throwaway bench loads while the run's own still
+    holds its store; neither may reuse the other's file."""
+    main = run.Bench("train-favorita-sqlite", 1, sp.Tracer(), rows=200)
+    warm = run.Bench("train-favorita-sqlite", 1, sp.Tracer(), rows=200)
+    try:
+        main.load()
+        warm.load()
+        assert main.conn.path != warm.conn.path
+    finally:
+        warm.finish()
+        main.finish()
+
+
 # ---------------------------------------------------------------------------
 # The benchmark's declaration matches what the command prints
 # ---------------------------------------------------------------------------
