@@ -6,9 +6,10 @@
 
 Run from the root of a checkout; the program is imported from ``src/``.
 ``--trace 0`` prints the end-to-end metrics, timed with tracing off.
-``--trace 1`` runs the same workload, then one more round with the
-program's layer boundaries wrapped (spans) and one with ``tracemalloc``
-on, prints the per-layer metrics, and writes the spans and a per-layer
+``--trace 1`` runs one round of the workload untraced (the baseline of
+the tracing overhead), then one more round with the program's layer boundaries wrapped (spans)
+and a shortened serving round with ``tracemalloc`` on, prints the
+per-layer metrics, and writes the spans and a per-layer
 summary to ``.bench_build/perfbench/``.  Every output is checked against
 the oracle in ``oracle.py``; a mismatch counts as a failed operation and
 the exit code is 1.  See ``perfbench/README.md`` for the workloads.
@@ -51,6 +52,8 @@ TRAIN_PARAMS = {"num_iterations": 8, "num_leaves": 16, "num_workers": 1}
 #: the served model
 SERVE_PARAMS = {"num_iterations": 16, "num_leaves": 4, "num_workers": 1}
 HOT_KEYS = 8
+#: most lookup pairs the tracemalloc round makes (it runs ~6x slower)
+MEMORY_ROUND_PAIRS = 50
 #: numbers the sqlite files of one process (the warm-up's too)
 SQLITE_FILES = itertools.count()
 #: every run makes at least this many rounds, so it has at least
@@ -90,10 +93,10 @@ WORKLOADS = {
     "train-favorita-embedded": Workload("embedded", 100_000, True, 25, 1),
     # sqlite's C engine replaces the embedded sql/engine layers; the fact
     # table is smaller so a run takes about as long as the embedded one.
-    # Its lookups are ~10x faster than the embedded engine's; a round makes
-    # 10x the lookups so that it, too, lasts long enough to average the
-    # host's speed swings (up to 1.8x, over a second or more).
-    "train-favorita-sqlite": Workload("sqlite", 10_000, True, 250, 4),
+    # Its lookups are ~8x faster than the embedded engine's; a round makes
+    # 16x the lookups so that its serving lasts long enough to average the
+    # host's speed swings (up to 1.8x, each lasting a second or more).
+    "train-favorita-sqlite": Workload("sqlite", 10_000, True, 400, 8),
     # Key lookups and bulk scoring against a model deployed in set-up.
     "serve-favorita-keys": Workload("embedded", 100_000, False, 25, 2),
 }
@@ -246,17 +249,25 @@ class Bench:
             digest(response.scores), response.served_by, response.degraded_reason,
         ))
 
-    def serve_round(self) -> float:
-        """The closed-loop client: cold and hot lookups alternate, then
-        the bulk calls.  Returns the timed wall."""
+    def serve_round(self, pairs: Optional[int] = None) -> float:
+        """The closed-loop client: cold and hot lookups alternate, with
+        the bulk calls spread evenly among them (so that they, too,
+        sample the whole round).  ``pairs`` shortens the round, keeping
+        the workload's share of bulk calls (at least one).  Returns the
+        timed wall."""
+        bulks = self.workload.bulk_calls
+        if pairs is None:
+            pairs = self.workload.key_pairs
+        else:
+            bulks = max(1, bulks * pairs // self.workload.key_pairs)
         with self.tracer.span("serve"):
             start = time.perf_counter()
-            for _ in range(self.workload.key_pairs):
+            for pair in range(pairs):
                 self.lookup("cold", next(self.cold))
                 self.lookup("hot", self.hot[int(self.rng.integers(HOT_KEYS))])
-            for _ in range(self.workload.bulk_calls):
-                self.bulk("sql")
-                self.bulk("compiled")
+                if (pair + 1) * bulks // pairs > pair * bulks // pairs:
+                    self.bulk("sql")
+                    self.bulk("compiled")
             wall = time.perf_counter() - start
         self.serve_walls.append(wall)
         return wall
@@ -298,11 +309,11 @@ class Bench:
             self.deploy()
         return time.perf_counter() - T_START
 
-    def run(self, seconds: float) -> Dict[str, object]:
+    def run(self, seconds: float, min_rounds: int = MIN_ROUNDS) -> Dict[str, object]:
         setup_s = self.set_up()
         elapsed, walls = 0.0, []
         peak_rss_mb = None
-        while len(walls) < MIN_ROUNDS or elapsed < seconds:
+        while len(walls) < min_rounds or elapsed < seconds:
             walls.append(self.round(first=not walls))
             elapsed += walls[-1]
             if peak_rss_mb is None:
@@ -354,13 +365,14 @@ class Bench:
         }
 
     def memory_round(self) -> Dict[str, float]:
-        """One more serving round under ``tracemalloc``: MiB allocated
-        during it and still held at its end, by allocating module."""
+        """One more serving round, of at most :data:`MEMORY_ROUND_PAIRS`
+        lookup pairs, under ``tracemalloc``: MiB allocated during it and
+        still held at its end, by allocating module."""
         import layers
 
         tracemalloc.start()
         try:
-            self.serve_round()
+            self.serve_round(min(self.workload.key_pairs, MEMORY_ROUND_PAIRS))
             snapshot = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
@@ -432,8 +444,8 @@ class Bench:
             "key_cold_tail_ms": 1e3 * metrics.tail(timed("cold"), pct),
             "key_hot_p50_ms": 1e3 * statistics.median(timed("hot")),
             "key_hot_tail_ms": 1e3 * metrics.tail(timed("hot"), pct),
-            "bulk_sql_s": statistics.median(timed("sql")),
-            "bulk_compiled_s": statistics.median(timed("compiled")),
+            "bulk_sql_s": statistics.fmean(timed("sql")),
+            "bulk_compiled_s": statistics.fmean(timed("compiled")),
             "serve_ops_per_s": len(serve_ops) / sum(self.serve_walls),
         }
 
@@ -480,7 +492,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     tracer = sp.Tracer()
     bench = Bench(args.workload, args.seed, tracer)
     try:
-        run = bench.run(args.seconds)
+        # A traced run prints no end-to-end metric, so it needs no second
+        # round for the tail rule: one untraced round is the baseline of
+        # trace.overhead_ratio, and the run stays within its time limit.
+        run = bench.run(args.seconds, min_rounds=1 if args.trace else MIN_ROUNDS)
         if args.trace:
             layers.install(tracer)
             counters = bench.traced_round()

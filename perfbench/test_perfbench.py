@@ -235,6 +235,33 @@ def test_sqlite_benches_in_one_process_get_their_own_files():
         main.finish()
 
 
+@pytest.mark.parametrize("short", [False, True])
+@pytest.mark.parametrize("name", sorted(run.WORKLOADS))
+def test_serving_round_spreads_its_bulk_calls_among_the_lookups(name, short, monkeypatch):
+    """A round makes exactly ``bulk_calls`` bulk pairs, evenly spaced
+    among the lookup pairs, the last after the last lookup pair; the
+    shortened tracemalloc round keeps that share, with at least one."""
+    bench = run.Bench(name, 1, sp.Tracer())
+    calls = []
+    monkeypatch.setattr(bench, "lookup", lambda kind, keys: calls.append(kind))
+    monkeypatch.setattr(bench, "bulk", lambda kind: calls.append(kind))
+    bench.hot, bench.cold = [{}] * run.HOT_KEYS, iter(lambda: {}, None)
+    workload = bench.workload
+    pairs, bulks = workload.key_pairs, workload.bulk_calls
+    if short:
+        pairs = min(pairs, run.MEMORY_ROUND_PAIRS)
+        bulks = max(1, bulks * pairs // workload.key_pairs)
+        bench.serve_round(pairs)
+    else:
+        bench.serve_round()
+    assert calls.count("cold") == calls.count("hot") == pairs
+    assert calls.count("sql") == calls.count("compiled") == bulks
+    assert calls[-2:] == ["sql", "compiled"]
+    pairs_before = [calls[:i].count("cold") for i, kind in enumerate(calls) if kind == "sql"]
+    gaps = np.diff([0] + pairs_before)
+    assert gaps.max() - gaps.min() <= 1
+
+
 # ---------------------------------------------------------------------------
 # The benchmark's declaration matches what the command prints
 # ---------------------------------------------------------------------------
